@@ -1,8 +1,8 @@
-"""Fast-kernel floors: verdict-cache warm-up and RTA memoisation.
+"""Fast-kernel floors: verdict cache, RTA memoisation and batching, Δ.
 
-Two speedup floors keep the analysis kernel honest, and both double as
-bit-identity checks (the optimised paths must change *nothing* but the
-wall-clock):
+Speedup floors keep the analysis kernel honest, and each doubles as a
+bit-identity check (the optimised paths must change *nothing* but the
+wall-clock). Among them:
 
 * a warm verdict cache must replay a whole sweep at least 5x faster
   than the cold run that populated it — the cache read path (fingerprint
@@ -11,7 +11,11 @@ wall-clock):
   the fixpoint's ``I^hp_k`` query stream at least 1.5x faster than the
   seed kernel's per-call :func:`higher_priority_interference` on the
   group-2 shape (wide, parallel-only task-sets), while summing to the
-  bit-identical total.
+  bit-identical total;
+* the one-pass knapsack Δ (:func:`~repro.core.scenarios.max_rho_by_cores`)
+  must give LP-ILP's ``(Δ^m, Δ^{m−1})`` at least 5x faster than the
+  maximum over ``e_m`` of per-scenario ρ on the wide m=8 corpus, with
+  identical values.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -220,6 +224,18 @@ def test_interference_memo_beats_seed_kernel(bench_tasksets, bench_check):
     )
 
 
+def _wide_corpus(count):
+    """Wide group-2 task-sets: small per-task utilisations, so u = 6
+    packs ~35 tasks per set."""
+    wide = dataclasses.replace(
+        GROUP2, beta=0.1, u_task_max=0.25, utilization_mode="uniform"
+    )
+    return [
+        generate_taskset(np.random.default_rng(SEED + i), 6.0, wide)
+        for i in range(count)
+    ]
+
+
 def test_batched_rta_beats_per_item_loop(bench_tasksets, bench_check):
     # The cross-lane kernel: analysing the corpus through
     # analyze_taskset_multi_batch must beat the per-item loop it is
@@ -235,13 +251,7 @@ def test_batched_rta_beats_per_item_loop(bench_tasksets, bench_check):
     )
 
     m = 8
-    wide = dataclasses.replace(
-        GROUP2, beta=0.1, u_task_max=0.25, utilization_mode="uniform"
-    )
-    tasksets = [
-        generate_taskset(np.random.default_rng(SEED + i), 6.0, wide)
-        for i in range(max(24, 2 * bench_tasksets))
-    ]
+    tasksets = _wide_corpus(max(24, 2 * bench_tasksets))
 
     def run_serial():
         return [analyze_taskset_multi(taskset, m) for taskset in tasksets]
@@ -273,6 +283,68 @@ def test_batched_rta_beats_per_item_loop(bench_tasksets, bench_check):
         f"batched RTA is only {speedup:.2f}x faster than the per-item "
         f"loop ({batch_seconds:.4f}s vs {serial_seconds:.4f}s) on the "
         "group-2 shape; the cross-lane fixpoint kernel has regressed"
+    )
+
+
+def test_knapsack_delta_beats_per_scenario_rho(bench_tasksets, bench_check):
+    # LP-ILP's blocking terms on the wide m=8 corpus of the batched-RTA
+    # case: for every priority rank, (Δ^m, Δ^{m-1}) over lp(k) by one
+    # knapsack pass against the definition — max over e_m and e_{m-1}
+    # of the per-scenario assignment ρ (37 assignments per rank).
+    from repro.core.scenarios import (
+        execution_scenarios,
+        max_rho_by_cores,
+        rho_assignment,
+    )
+    from repro.core.workload import mu_array
+
+    m = 8
+    tasksets = _wide_corpus(max(6, bench_tasksets // 2))
+    tables = []
+    for taskset in tasksets:
+        mu = {task.name: mu_array(task, m) for task in taskset.tasks}
+        for rank in range(len(taskset.tasks)):
+            tables.append({t.name: mu[t.name] for t in taskset.tasks[rank + 1 :]})
+    scenarios = [execution_scenarios(m), execution_scenarios(m - 1)]
+
+    def run_scenarios():
+        return [
+            tuple(
+                max(rho_assignment(table, scenario) for scenario in e_c)
+                for e_c in scenarios
+            )
+            for table in tables
+        ]
+
+    def run_knapsack():
+        out = []
+        for table in tables:
+            best = max_rho_by_cores(table, m)
+            out.append((best[m], best[m - 1]))
+        return out
+
+    assert run_knapsack() == run_scenarios()  # bit-identical Δ, always
+
+    scenario_seconds = _best_of(run_scenarios, rounds=1)
+    knapsack_seconds = _best_of(run_knapsack)
+    speedup = scenario_seconds / knapsack_seconds
+    _record(
+        "knapsack_delta",
+        {
+            "tasksets": len(tasksets),
+            "lp_sets": len(tables),
+            "m": m,
+            "scenario_seconds": round(scenario_seconds, 4),
+            "knapsack_seconds": round(knapsack_seconds, 4),
+            "speedup": round(speedup, 2),
+            "floor": 5.0,
+        },
+        check=bench_check,
+    )
+    assert speedup >= 5.0, (
+        f"the knapsack Δ is only {speedup:.2f}x faster than the maximum "
+        f"over e_m of per-scenario ρ ({knapsack_seconds:.4f}s vs "
+        f"{scenario_seconds:.4f}s) on the wide m=8 corpus"
     )
 
 

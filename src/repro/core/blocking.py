@@ -25,7 +25,8 @@ from typing import Literal
 from repro.exceptions import AnalysisError
 from repro.core.scenarios import (
     execution_scenarios,
-    rho_assignment,
+    max_rho_by_cores,
+    rho_assignment,  # noqa: F401 -- public name of this module's ρ solver
     rho_ilp,
 )
 from repro.core.workload import MuMethod, mu_array_shared
@@ -94,8 +95,11 @@ def lp_ilp_deltas(
     mu_method:
         Solver for μ (``"search"``, ``"ilp"``, ``"ilp-paper"``).
     rho_solver:
-        ``"assignment"`` (default; sound for every input) or ``"ilp"``
-        (the paper's formulation; infeasible scenarios are skipped).
+        ``"assignment"`` (default; sound for every input — steps 2 and 3
+        fuse into one knapsack pass, see
+        :func:`repro.core.scenarios.max_rho_by_cores`) or ``"ilp"`` (the
+        paper's formulation, one ILP per scenario; infeasible scenarios
+        are skipped).
     mu_cache:
         Optional memo of μ arrays keyed by task name — the analyzer
         passes one so μ is computed once per task-set, mirroring the
@@ -125,32 +129,37 @@ def lp_ilp_deltas(
                 mu_cache[task.name] = mu
         mu_by_task[task.name] = mu
 
+    if rho_solver == "assignment":
+        best = max_rho_by_cores(mu_by_task, m)
+        return best[m], best[m - 1]
+    if rho_solver != "ilp":
+        raise AnalysisError(
+            f"unknown rho solver {rho_solver!r}; choose 'assignment' or 'ilp'"
+        )
     return (
-        _lp_ilp_single(mu_by_task, m, rho_solver),
-        _lp_ilp_single(mu_by_task, m - 1, rho_solver),
+        _lp_ilp_single(mu_by_task, m),
+        _lp_ilp_single(mu_by_task, m - 1),
     )
 
 
-def _lp_ilp_single(
-    mu_by_task: dict[str, list[float]],
-    m: int,
-    rho_solver: RhoSolver,
-) -> float:
+def _lp_ilp_single(mu_by_task: dict[str, list[float]], m: int) -> float:
+    """``max_{s_l ∈ e_m} ρ_k[s_l]`` with ρ from the paper's ILP.
+
+    Scenarios the ILP finds infeasible contribute nothing. The default
+    ``"assignment"`` solver skips this loop: one knapsack pass
+    (:func:`repro.core.scenarios.max_rho_by_cores`) gives the maximum
+    for ``m`` and ``m − 1`` at once, bit-identical to the per-scenario
+    maximum on integer-valued μ (every generated corpus) and the exact
+    optimum up to summation rounding on float μ.
+    """
     if m == 0:
         return 0.0
     best = 0.0
     for scenario in execution_scenarios(m):
-        if rho_solver == "assignment":
-            value: float | None = rho_assignment(mu_by_task, scenario)
-        elif rho_solver == "ilp":
-            # Carry the best scenario workload so far as the ILP
-            # incumbent: later scenarios only pay for the branches that
-            # could still raise the maximum.
-            value = rho_ilp(mu_by_task, scenario, m, floor=best)
-        else:
-            raise AnalysisError(
-                f"unknown rho solver {rho_solver!r}; choose 'assignment' or 'ilp'"
-            )
+        # Carry the best scenario workload so far as the ILP incumbent:
+        # later scenarios only pay for the branches that could still
+        # raise the maximum.
+        value = rho_ilp(mu_by_task, scenario, m, floor=best)
         if value is not None and value > best:
             best = value
     return best

@@ -12,10 +12,10 @@ i.e. pick ``|s_l|`` distinct tasks of ``lp(k)``, give each one part
 
 Solvers
 -------
-* :func:`rho_assignment` (default) — exact rectangular assignment via
-  ``scipy.optimize.linear_sum_assignment``. Parts may stay idle when
-  ``lp(k)`` has fewer tasks than parts, which keeps the bound *sound*
-  for small task-sets (see DESIGN.md, "Known paper issues");
+* :func:`rho_assignment` (default) — exact rectangular assignment by a
+  dynamic program over the multiset of part sizes. Parts may stay idle
+  when ``lp(k)`` has fewer tasks than parts, which keeps the bound
+  *sound* for small task-sets (see DESIGN.md, "Known paper issues");
 * :func:`rho_ilp` — the paper's Section V-B ILP verbatim; its
   constraints force every part to be used by a distinct task and return
   ``None`` when that is infeasible;
@@ -29,9 +29,6 @@ tests assert on random instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.exceptions import AnalysisError
 from repro.combinatorics.partitions import partitions
@@ -102,10 +99,19 @@ def rho_assignment(
 ) -> float:
     """``ρ_k[s_l]`` by maximum-weight rectangular assignment.
 
-    Builds the ``tasks × parts`` value matrix ``V[i, t] = μ_i[c_t]`` and
-    finds the maximum-weight matching; the smaller side is fully
-    matched, so surplus parts stay idle (sound) and surplus tasks stay
-    unused (required: one task contributes at most once).
+    Each task either stays unused or takes one part ``c_t`` of the
+    scenario and contributes ``μ_i[c_t]``; surplus parts stay idle
+    (sound) and surplus tasks stay unused (required: one task
+    contributes at most once). The exact optimum comes from a dynamic
+    program over tasks whose state is the multiset of parts still free
+    — at most ``Π (count_c + 1)`` states: 16 for ``m = 8``, 72 for
+    ``m = 16``.
+
+    Totals are accumulated in task order. On integer-valued μ — every
+    generated corpus, since WCETs come from ``rng.integers`` — the
+    result is bit-identical to any other exact solver; on float μ it
+    is the exact optimum up to summation rounding. μ is assumed
+    non-negative, as every μ array is.
 
     Parameters
     ----------
@@ -122,19 +128,71 @@ def rho_assignment(
     """
     if not mu_by_task or not scenario.parts:
         return 0.0
-    names = list(mu_by_task)
-    for name in names:
-        if len(mu_by_task[name]) < max(scenario.parts):
+    widest = scenario.parts[0]
+    for name, mu in mu_by_task.items():
+        if len(mu) < widest:
             raise AnalysisError(
-                f"mu array of task {name!r} has {len(mu_by_task[name])} entries, "
-                f"but the scenario needs mu[{max(scenario.parts)}]"
+                f"mu array of task {name!r} has {len(mu)} entries, "
+                f"but the scenario needs mu[{widest}]"
             )
-    value = np.array(
-        [[mu_by_task[name][part - 1] for part in scenario.parts] for name in names],
-        dtype=float,
-    )
-    rows, cols = linear_sum_assignment(value, maximize=True)
-    return float(value[rows, cols].sum())
+    sizes = sorted(set(scenario.parts), reverse=True)
+    # Free parts per distinct size -> best workload placed so far.
+    best = {tuple(scenario.parts.count(size) for size in sizes): 0.0}
+    for mu in mu_by_task.values():
+        grown = dict(best)
+        for free, total in best.items():
+            for idx, size in enumerate(sizes):
+                if free[idx]:
+                    key = free[:idx] + (free[idx] - 1,) + free[idx + 1 :]
+                    value = total + mu[size - 1]
+                    if value > grown.get(key, -1.0):
+                        grown[key] = value
+        best = grown
+    return float(max(best.values()))
+
+
+def max_rho_by_cores(
+    mu_by_task: dict[str, list[float]],
+    m: int,
+) -> list[float]:
+    """``max_{s_l ∈ e_j} ρ_k[s_l]`` for every ``j = 0..m`` in one pass.
+
+    With μ ≥ 0 the best scenario workload on ``j`` cores is the largest
+    ``Σ μ_i[c_i]`` over distinct tasks with ``c_i ≥ 1`` and
+    ``Σ c_i ≤ j``: such a selection fits a partition of ``j`` once it
+    is padded with 1-parts (the padding stays idle), and every
+    assignment of :func:`rho_assignment` is such a selection. That is a
+    0/1 knapsack over ``lp(k)`` with capacities ``0..m`` —
+    ``O(|lp(k)| · m²)`` instead of one assignment per partition.
+
+    Totals are accumulated in task order, exactly as in
+    :func:`rho_assignment`: bit-identical to the per-scenario maximum
+    on integer-valued μ, the exact optimum up to summation rounding on
+    float μ.
+
+    Raises
+    ------
+    AnalysisError
+        If ``m < 0`` or a μ array has fewer than ``m`` entries.
+    """
+    if m < 0:
+        raise AnalysisError(f"core count m must be >= 0, got {m}")
+    # best[j]: the largest workload of the tasks seen so far on <= j cores.
+    best = [0.0] * (m + 1)
+    for name, mu in mu_by_task.items():
+        if len(mu) < m:
+            raise AnalysisError(
+                f"mu array of task {name!r} has {len(mu)} entries, need {m}"
+            )
+        # Descending j: best[j - c] still excludes this task (0/1 knapsack).
+        for j in range(m, 0, -1):
+            top = best[j]
+            for c in range(1, j + 1):
+                value = best[j - c] + mu[c - 1]
+                if value > top:
+                    top = value
+            best[j] = top
+    return best
 
 
 # ----------------------------------------------------------------------

@@ -10,9 +10,7 @@ order. This module provides:
   Algorithm 1 (Section V-A1), with an optional correction knob (see
   below);
 * :func:`parallel_pairs` / :func:`is_parallel` — the pair relation
-  ``IsPar`` used by the μ ILP of Section V-A2;
-* :func:`parallelism_graph` — the relation as a :mod:`networkx` graph
-  (parallel nodes are adjacent), in which antichains are cliques.
+  ``IsPar`` used by the μ ILP of Section V-A2.
 
 Fidelity note
 -------------
@@ -29,8 +27,6 @@ reachability, which is sound for any single-source DAG;
 from __future__ import annotations
 
 from typing import Literal
-
-import networkx as nx
 
 from repro.exceptions import GraphError
 from repro.graph.topology import ancestors_map, descendants_map
@@ -132,24 +128,3 @@ def is_parallel(dag: DAG, u: str, v: str) -> bool:
     dag.node(v)
     succ = descendants_map(dag)
     return v not in succ[u] and u not in succ[v]
-
-
-def parallelism_graph(dag: DAG) -> nx.Graph:
-    """The parallelism relation as an undirected :mod:`networkx` graph.
-
-    Nodes carry a ``wcet`` attribute; an edge joins every pair of NPRs
-    that may execute in parallel. Antichains of the DAG are exactly the
-    cliques of this graph, which is how :mod:`repro.core.workload`
-    searches for the worst-case parallel workload ``μ_i[c]``.
-    """
-    graph = nx.Graph()
-    for node in dag.nodes:
-        graph.add_node(node.name, wcet=node.wcet)
-    par = par_sets_oracle(dag)
-    for v, others in par.items():
-        for w in others:
-            if v < w:
-                graph.add_edge(v, w)
-            else:
-                graph.add_edge(w, v)
-    return graph

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-import networkx as nx
-
 from repro.exceptions import GraphError
 from repro.graph.topology import descendants_map
 from repro.model.dag import DAG
@@ -86,18 +84,18 @@ def max_parallelism(dag: DAG) -> int:
     cover. Polynomial, exact, and independent of the antichain
     enumeration used in tests.
     """
-    if len(dag) == 0:
-        return 0
     succ = descendants_map(dag)
-    bipartite = nx.Graph()
-    left = {name: ("L", name) for name in dag.node_names}
-    right = {name: ("R", name) for name in dag.node_names}
-    bipartite.add_nodes_from(left.values(), bipartite=0)
-    bipartite.add_nodes_from(right.values(), bipartite=1)
-    for u in dag.node_names:
+    # Kuhn's augmenting paths: owner[v] is the left node matched to v.
+    owner: dict[str, str] = {}
+
+    def augment(u: str, seen: set[str]) -> bool:
         for v in succ[u]:
-            bipartite.add_edge(left[u], right[v])
-    matching = nx.bipartite.maximum_matching(bipartite, top_nodes=set(left.values()))
-    # ``matching`` contains both directions; count matched left nodes.
-    matched = sum(1 for key in matching if key[0] == "L")
+            if v not in seen:
+                seen.add(v)
+                if v not in owner or augment(owner[v], seen):
+                    owner[v] = u
+                    return True
+        return False
+
+    matched = sum(augment(u, set()) for u in dag.node_names)
     return len(dag) - matched

@@ -203,3 +203,22 @@ def mu_tables(draw, max_tasks: int = 5, m: int = 4) -> dict[str, list[float]]:
         arr = [float(v) for v in values] + [0.0] * (m - cut)
         table[f"t{i}"] = arr
     return table
+
+
+@st.composite
+def integer_mu_tables(draw, max_tasks: int = 8, max_m: int = 8):
+    """``(m, table)``: up to ``max_tasks`` non-negative integer μ arrays.
+
+    Entries are drawn independently: like real μ arrays, they need not
+    grow with ``c``, and zeros may sit anywhere.
+    """
+    m = draw(st.integers(1, max_m))
+    n_tasks = draw(st.integers(1, max_tasks))
+    table = {
+        f"t{i}": [
+            float(v)
+            for v in draw(st.lists(st.integers(0, 40), min_size=m, max_size=m))
+        ]
+        for i in range(n_tasks)
+    }
+    return m, table

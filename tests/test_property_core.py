@@ -14,7 +14,7 @@ from repro.core.scenarios import (
 from repro.core.workload import mu_array, mu_bruteforce, mu_value
 from repro.graph import max_parallelism
 
-from tests.strategies import mu_tables, random_dags
+from tests.strategies import integer_mu_tables, mu_tables, random_dags
 
 
 class TestMuProperties:
@@ -60,13 +60,12 @@ class TestMuProperties:
 
 
 class TestRhoProperties:
-    @given(mu_tables(), st.integers(1, 4))
+    @given(integer_mu_tables())
     @settings(max_examples=100, deadline=None)
-    def test_assignment_matches_bruteforce(self, table, m):
+    def test_assignment_matches_bruteforce(self, case):
+        m, table = case
         for scenario in execution_scenarios(m):
-            assert rho_assignment(table, scenario) == pytest.approx(
-                rho_bruteforce(table, scenario)
-            )
+            assert rho_assignment(table, scenario) == rho_bruteforce(table, scenario)
 
     @given(mu_tables(m=4))
     @settings(max_examples=60, deadline=None)
