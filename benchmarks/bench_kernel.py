@@ -15,7 +15,12 @@ wall-clock). Among them:
 * the one-pass knapsack Δ (:func:`~repro.core.scenarios.max_rho_by_cores`)
   must give LP-ILP's ``(Δ^m, Δ^{m−1})`` at least 5x faster than the
   maximum over ``e_m`` of per-scenario ρ on the wide m=8 corpus, with
-  identical values.
+  identical values;
+* :func:`~repro.core.workload.mu_array` must build the μ search's
+  set-up (ordering, weights, parallelism bitmasks) once per DAG and
+  share it across ``c``: at m=8 on fresh group-2 DAGs it must beat one
+  independent :func:`~repro.core.workload.mu_value` per ``c`` at least
+  1.5x, with identical values.
 
 Each run appends its numbers to ``BENCH_kernel.json`` at the repo root
 — the checked-in benchmark trajectory.  Sizes are tunable via
@@ -34,6 +39,7 @@ from repro.core.interference import InterferenceMemo, higher_priority_interferen
 from repro.engine import SweepEngine, SweepSpec
 from repro.generator.profiles import GROUP2
 from repro.generator.taskset_gen import generate_taskset
+from repro.model.dag import DAG
 
 SEED = 2016
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -418,4 +424,50 @@ def test_cache_aware_routing_cuts_cold_analyses(tmp_path, bench_check):
         f"cache-aware routing saves only {ratio:.2f}x cold analyses "
         f"({clustered_cold} vs {strided_cold} over {len(tasksets)} "
         "items); fingerprint clustering has regressed"
+    )
+
+
+def test_mu_search_setup_is_shared_across_c(bench_tasksets, bench_check):
+    # One μ array per DAG, as the analysis asks for it, against the
+    # per-c definition.  Both legs start from fresh DAG instances every
+    # round, so neither reads a set-up memoised by an earlier round.
+    from repro.core.workload import mu_array, mu_value
+
+    m = 8
+    shapes = [
+        (task.graph.nodes, task.graph.edges)
+        for i in range(max(12, bench_tasksets))
+        for task in generate_taskset(np.random.default_rng(SEED + i), 6.0, GROUP2)
+    ]
+
+    def run_shared():
+        return [mu_array(DAG(nodes, edges), m) for nodes, edges in shapes]
+
+    def run_per_c():
+        return [
+            [mu_value(DAG(nodes, edges), c) for c in range(1, m + 1)]
+            for nodes, edges in shapes
+        ]
+
+    assert run_shared() == run_per_c()  # bit-identical μ, always
+
+    per_c_seconds = _best_of(run_per_c)
+    shared_seconds = _best_of(run_shared)
+    speedup = per_c_seconds / shared_seconds
+    _record(
+        "mu_search_setup",
+        {
+            "dags": len(shapes),
+            "m": m,
+            "per_c_seconds": round(per_c_seconds, 4),
+            "shared_seconds": round(shared_seconds, 4),
+            "speedup": round(speedup, 2),
+            "floor": 1.5,
+        },
+        check=bench_check,
+    )
+    assert speedup >= 1.5, (
+        f"mu_array is only {speedup:.2f}x faster than one mu_value per c "
+        f"({shared_seconds:.4f}s vs {per_c_seconds:.4f}s) at m={m}; the "
+        "per-DAG set-up of the μ search is no longer shared across c"
     )

@@ -40,6 +40,24 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+#: ``repr(wcet)`` → initial WL label ``_digest(f"wcet:{repr}")``.  Keyed
+#: by ``repr``, not by value, because ``1`` and ``1.0`` label differently.
+#: The generator draws integer WCETs from ``[1, 100]``, so nearly every
+#: node's first label is a lookup.  Cleared wholesale when full.
+_WCET_LABELS: dict[str, str] = {}
+_WCET_LABELS_MAX = 4096
+
+
+def _wcet_label(wcet: float) -> str:
+    text = repr(wcet)
+    label = _WCET_LABELS.get(text)
+    if label is None:
+        if len(_WCET_LABELS) >= _WCET_LABELS_MAX:
+            _WCET_LABELS.clear()
+        label = _WCET_LABELS[text] = _digest(f"wcet:{text}")
+    return label
+
+
 def dag_fingerprint(dag: DAG) -> str:
     """Isomorphism-invariant content hash of a DAG (WL refinement).
 
@@ -49,7 +67,10 @@ def dag_fingerprint(dag: DAG) -> str:
     if cached is not None:
         return cached
     names = dag.node_names
-    labels = {name: _digest(f"wcet:{dag.wcet(name)!r}") for name in names}
+    adjacency = [
+        (name, dag.predecessors(name), dag.successors(name)) for name in names
+    ]
+    labels = {name: _wcet_label(dag.wcet(name)) for name in names}
     # Each round strictly refines the label partition (the old label is
     # part of the new one), so the class count is non-decreasing and a
     # round that does not grow it left the partition — and every later
@@ -61,10 +82,10 @@ def dag_fingerprint(dag: DAG) -> str:
         labels = {
             name: _digest(
                 labels[name]
-                + "|p:" + ",".join(sorted(labels[p] for p in dag.predecessors(name)))
-                + "|s:" + ",".join(sorted(labels[s] for s in dag.successors(name)))
+                + "|p:" + ",".join(sorted([labels[p] for p in preds]))
+                + "|s:" + ",".join(sorted([labels[s] for s in succs]))
             )
-            for name in names
+            for name, preds, succs in adjacency
         }
         refined = len(set(labels.values()))
         if refined == distinct:

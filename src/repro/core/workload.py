@@ -124,6 +124,29 @@ def mu_value(dag: DAG, c: int, method: MuMethod = "search") -> float:
 # ----------------------------------------------------------------------
 # solver 1: bitmask branch-and-bound over antichains
 # ----------------------------------------------------------------------
+def _mu_search_setup(dag: DAG) -> tuple[list[float], list[int]]:
+    """The weights and parallelism bitmasks :func:`_mu_search` walks.
+
+    Nodes are sorted by decreasing WCET (then name); ``masks[i]`` has
+    bit ``j`` set iff nodes ``i`` and ``j`` may run in parallel.  The
+    set-up does not depend on ``c``, so it is memoised on ``dag`` and
+    shared by every ``μ[c]`` of one :func:`mu_array`.
+    """
+    cached = dag.__dict__.get("_mu_search_setup")
+    if cached is not None:
+        return cached
+    names = sorted(dag.node_names, key=lambda n: (-dag.wcet(n), n))
+    index = {name: i for i, name in enumerate(names)}
+    weights = [dag.wcet(name) for name in names]
+    masks = [0] * len(names)
+    for name, others in par_sets_oracle(dag).items():
+        i = index[name]
+        for other in others:
+            masks[i] |= 1 << index[other]
+    setup = dag.__dict__["_mu_search_setup"] = (weights, masks)
+    return setup
+
+
 def _mu_search(dag: DAG, c: int) -> float:
     """Maximum-weight antichain of exactly ``c`` nodes, or 0 if none.
 
@@ -131,19 +154,12 @@ def _mu_search(dag: DAG, c: int) -> float:
     nodes still compatible with the current partial antichain and prunes
     on (a) not enough compatible nodes left, and (b) an optimistic bound
     (current weight + the ``c − k`` heaviest remaining compatible
-    nodes) failing to beat the incumbent.
+    nodes) failing to beat the incumbent.  The ordering and bitmasks
+    come from :func:`_mu_search_setup`, built once per DAG and shared
+    across ``c``.
     """
-    names = sorted(dag.node_names, key=lambda n: (-dag.wcet(n), n))
-    index = {name: i for i, name in enumerate(names)}
-    weights = [dag.wcet(name) for name in names]
-    par = par_sets_oracle(dag)
-    masks = [0] * len(names)
-    for name, others in par.items():
-        i = index[name]
-        for other in others:
-            masks[i] |= 1 << index[other]
-
-    n = len(names)
+    weights, masks = _mu_search_setup(dag)
+    n = len(weights)
     best = 0.0
     found = False
 

@@ -65,8 +65,11 @@ def sequential_dag(
     the profile's uniform range.
     """
     length = int(rng.integers(profile.seq_min_nodes, profile.seq_max_nodes + 1))
+    # One batched draw yields the same values, and leaves ``rng`` in the
+    # same state, as ``length`` scalar ``_draw_wcet`` calls.
+    wcets = rng.integers(profile.wcet_min, profile.wcet_max + 1, size=length)
     nodes = [
-        Node(f"{name_prefix}{i + 1}", _draw_wcet(rng, profile)) for i in range(length)
+        Node(f"{name_prefix}{i + 1}", wcet) for i, wcet in enumerate(wcets.tolist())
     ]
     edges = [(nodes[i].name, nodes[i + 1].name) for i in range(length - 1)]
     return DAG(nodes, edges)

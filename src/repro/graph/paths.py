@@ -4,6 +4,10 @@
 ``vol(G_k)`` (total WCET) are the two DAG summary metrics the RTA of
 Eq. (1)/(4) consumes: ``L_k`` is the minimum makespan on unboundedly
 many cores; ``vol(G_k)`` the makespan on one core.
+
+``L_k`` is memoised on the DAG instance (DAGs are immutable), so the
+generator's utilisation ceiling, the task constructor and every later
+reader share one walk per DAG.
 """
 
 from __future__ import annotations
@@ -21,15 +25,22 @@ def longest_path_length(dag: DAG) -> float:
 
     Computed by dynamic programming over a topological order:
     ``dist(v) = C(v) + max(dist(p) for p in pred(v), default 0)``.
-    A single node's longest path is its own WCET.
+    A single node's longest path is its own WCET.  Memoised on ``dag``.
     """
+    cached = dag.__dict__.get("_longest_path")
+    if cached is not None:
+        return cached
+    nodes = dag._nodes
+    pred = dag._pred
     dist: dict[str, float] = {}
     best = 0.0
     for name in dag.topological_order:
-        incoming = max((dist[p] for p in dag.predecessors(name)), default=0.0)
-        dist[name] = incoming + dag.wcet(name)
-        if dist[name] > best:
-            best = dist[name]
+        parents = pred[name]
+        incoming = max([dist[p] for p in parents]) if parents else 0.0
+        length = dist[name] = incoming + nodes[name].wcet
+        if length > best:
+            best = length
+    dag.__dict__["_longest_path"] = best
     return best
 
 
@@ -52,7 +63,8 @@ def longest_path_nodes(dag: DAG) -> tuple[str, ...]:
         back[name] = best_pred
     if not dist:
         return ()
-    end = max(dist, key=lambda n: (dist[n], -dag.topological_order.index(n)))
+    rank = dag.topological_rank
+    end = max(dist, key=lambda n: (dist[n], -rank[n]))
     chain: list[str] = []
     cursor: str | None = end
     while cursor is not None:

@@ -3,15 +3,17 @@
 The :class:`DAG` is the structural half of a DAG task ``G_k = (V_k, E_k)``
 (paper Section III-A): nodes are NPRs labelled with WCETs, edges are
 precedence constraints. The class is an immutable container with O(1)
-adjacency queries; the heavier algorithms (topological order, longest
-path, parallelism sets) live in :mod:`repro.graph` and take a ``DAG`` as
-input.
+adjacency queries. Its deterministic topological order is computed once,
+at construction, by the same Kahn walk that rejects cycles; the heavier
+algorithms (longest path, parallelism sets) live in :mod:`repro.graph`
+and take a ``DAG`` as input.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
+from heapq import heappop, heappush
 
 from repro.exceptions import CycleError, ModelError
 from repro.model.node import Node
@@ -40,7 +42,7 @@ class DAG:
         If the edge set contains a directed cycle.
     """
 
-    __slots__ = ("_nodes", "_succ", "_pred", "_edges", "__dict__")
+    __slots__ = ("_nodes", "_succ", "_pred", "_edges", "_order", "__dict__")
 
     def __init__(
         self,
@@ -59,8 +61,8 @@ class DAG:
                 raise ModelError(f"duplicate node name {node.name!r}")
             self._nodes[node.name] = node
 
-        self._succ: dict[str, tuple[str, ...]] = {name: () for name in self._nodes}
-        self._pred: dict[str, tuple[str, ...]] = {name: () for name in self._nodes}
+        succ: dict[str, list[str]] = {name: [] for name in self._nodes}
+        pred: dict[str, list[str]] = {name: [] for name in self._nodes}
         seen: set[Edge] = set()
         edge_list: list[Edge] = []
         for u, v in edges:
@@ -74,10 +76,35 @@ class DAG:
                 raise ModelError(f"duplicate edge ({u!r}, {v!r})")
             seen.add((u, v))
             edge_list.append((u, v))
-            self._succ[u] = self._succ[u] + (v,)
-            self._pred[v] = self._pred[v] + (u,)
+            succ[u].append(v)
+            pred[v].append(u)
+        self._succ: dict[str, tuple[str, ...]] = {n: tuple(s) for n, s in succ.items()}
+        self._pred: dict[str, tuple[str, ...]] = {n: tuple(p) for n, p in pred.items()}
         self._edges: tuple[Edge, ...] = tuple(edge_list)
-        self._check_acyclic()
+        self._order: tuple[str, ...] = self._kahn_order()
+
+    def _kahn_order(self) -> tuple[str, ...]:
+        """Kahn's algorithm; the ready node of lowest insertion rank goes next.
+
+        Raises :class:`CycleError` when some node is never freed.
+        """
+        names = tuple(self._nodes)
+        rank = {name: i for i, name in enumerate(names)}
+        indegree = [len(self._pred[name]) for name in names]
+        # Ascending ranks: already a valid heap.
+        ready = [i for i, degree in enumerate(indegree) if not degree]
+        order: list[str] = []
+        while ready:
+            name = names[heappop(ready)]
+            order.append(name)
+            for child in self._succ[name]:
+                j = rank[child]
+                indegree[j] -= 1
+                if not indegree[j]:
+                    heappush(ready, j)
+        if len(order) != len(names):
+            raise CycleError("graph contains a directed cycle")
+        return tuple(order)
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -172,46 +199,20 @@ class DAG:
         """Nodes with no successors, in insertion order."""
         return tuple(n for n in self._nodes if not self._succ[n])
 
-    @cached_property
+    @property
     def topological_order(self) -> tuple[str, ...]:
         """A deterministic topological order (Kahn's algorithm).
 
         Ties are broken by node insertion order, so the result is stable
         across runs for the same construction sequence.
         """
-        indegree = {name: len(self._pred[name]) for name in self._nodes}
-        ready = [name for name in self._nodes if indegree[name] == 0]
-        order: list[str] = []
-        while ready:
-            current = ready.pop(0)
-            order.append(current)
-            appended: list[str] = []
-            for succ in self._succ[current]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    appended.append(succ)
-            if appended:
-                # keep deterministic order: re-sort ready set by insertion rank
-                ready.extend(appended)
-                rank = {name: i for i, name in enumerate(self._nodes)}
-                ready.sort(key=rank.__getitem__)
-        if len(order) != len(self._nodes):  # pragma: no cover - guarded in ctor
-            raise CycleError("graph contains a directed cycle")
-        return tuple(order)
+        return self._order
 
-    def _check_acyclic(self) -> None:
-        indegree = {name: len(self._pred[name]) for name in self._nodes}
-        stack = [name for name in self._nodes if indegree[name] == 0]
-        visited = 0
-        while stack:
-            current = stack.pop()
-            visited += 1
-            for succ in self._succ[current]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    stack.append(succ)
-        if visited != len(self._nodes):
-            raise CycleError("graph contains a directed cycle")
+    @cached_property
+    def topological_rank(self) -> dict[str, int]:
+        """Position of every node in :attr:`topological_order` (shared; do
+        not mutate)."""
+        return {name: i for i, name in enumerate(self._order)}
 
     # ------------------------------------------------------------------
     # equality / repr

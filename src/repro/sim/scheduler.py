@@ -30,7 +30,7 @@ def sort_key(entry: ReadyEntry) -> tuple[int, float, int, int]:
     priority = job.task.priority
     if priority is None:  # pragma: no cover - TaskSet guarantees priorities
         priority = 1 << 30
-    rank = job.task.graph.topological_order.index(node)
+    rank = job.task.graph.topological_rank[node]
     return (priority, job.release, job.jid, rank)
 
 

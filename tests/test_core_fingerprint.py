@@ -145,3 +145,52 @@ class TestTasksetFingerprint:
             taskset_fingerprint(tighter),
         }
         assert len(prints) == 3
+
+
+class TestGoldenCacheKeys:
+    """Pinned fingerprints: the verdict cache's keys on disk.
+
+    A persisted verdict cache is only valid while these strings hold.
+    A change that alters any of them must come with a ``CACHE_VERSION``
+    bump in :mod:`repro.engine.vcache` (and new pins here).
+    """
+
+    FIGURE1 = {
+        "tau1": "ece24a82fa81995a3ba5c2bc7da0d691c971515adedb33e85d050ce7202faf93",
+        "tau2": "af78fbc4c581ba1fc022fab5b117f7013e4c8ca995bd1d1b3fc4fb7a9f244150",
+        "tau3": "706ee03fbf7ccbfc10d8ff7d1c6e9ec672c3fcd974ace6e9d7062d95986569a6",
+        "tau4": "5fe2e7ac9818cce6e605916ce039e39327badae6184859dc6642bf81c6645b9f",
+    }
+    CHAIN30 = "75f6dc4f09487a26d0e7dc53168a2f5edbc21d54789b1509458fbdba367f8b72"
+    FIGURE2_M8 = (
+        "f2878bc056542edfe236972d2fa36e02a43d73cafe0cca0b81c1e13e7d25f54e",
+        "a4eed04490c887daa44ddca9aa838901705bbd8dab75818a0bd96afab94568e6",
+        "4e71e3d1360198220fe7fd74d4c06a490587fda05eb11f5d3f51ab06621c8888",
+    )
+
+    def test_figure1_dags(self):
+        from repro.experiments import figure1
+
+        for name, expected in self.FIGURE1.items():
+            dag = getattr(figure1, f"{name}_dag")()
+            assert dag_fingerprint(dag) == expected, name
+
+    def test_thirty_node_chain(self):
+        names = [f"c{i}" for i in range(30)]
+        chain = DAG(
+            [Node(name, float(i % 7 + 1)) for i, name in enumerate(names)],
+            list(zip(names, names[1:])),
+        )
+        assert dag_fingerprint(chain) == self.CHAIN30
+
+    def test_first_figure2_tasksets(self):
+        from repro.experiments.figure2 import figure2_spec
+        from repro.generator.taskset_gen import generate_taskset
+
+        spec = figure2_spec(8, n_tasksets=60, seed=2016)
+        for item, expected in enumerate(self.FIGURE2_M8):
+            point, index = divmod(item, spec.n_tasksets)
+            taskset = generate_taskset(
+                spec.taskset_rng(point, index), spec.utilizations[point], spec.profile
+            )
+            assert taskset_fingerprint(taskset) == expected, item
