@@ -11,7 +11,15 @@ fixpoint into the three analyses the paper evaluates (Section VI):
 evaluates several methods in a single pass, sharing the validation and
 the LP-ILP μ cache and (by default) exploiting the dominance ordering
 ``LP-max ⊆ LP-ILP ⊆ FP-ideal`` to skip analyses whose verdict is
-already decided — the fast path of the experiment sweeps.
+already decided; :func:`analyze_taskset_multi_batch` does the same for
+a batch of task-sets — the fast path of the experiment sweeps.
+
+There is one flow: the verdict cache and the pruning order live in
+:func:`analyze_taskset_multi_batch` and :func:`_compute_multi_batch`,
+and both single-task-set entries are batch-of-one calls into them.
+:func:`~repro.core.rta.response_time_bounds_batch` runs a batch of one
+through the scalar fixpoint, so a single task-set pays nothing for the
+batch form.
 
 Example
 -------
@@ -30,7 +38,7 @@ from repro.exceptions import AnalysisError
 from repro.core.blocking import RhoSolver, lp_ilp_deltas, lp_max_deltas
 from repro.core.interference import InterferenceMemo
 from repro.core.results import MultiAnalysis, TaskAnalysis, TasksetAnalysis
-from repro.core.rta import response_time_bounds, response_time_bounds_batch
+from repro.core.rta import response_time_bounds_batch
 from repro.core.workload import MuMethod
 from repro.model.taskset import TaskSet
 from repro.model.validation import validate_taskset_for_analysis
@@ -52,45 +60,6 @@ def _coerce_method(method: AnalysisMethod | str) -> AnalysisMethod:
     except ValueError:
         valid = [m.value for m in AnalysisMethod]
         raise AnalysisError(f"unknown method {method!r}; choose from {valid}") from None
-
-
-def _analyze_validated(
-    taskset: TaskSet,
-    m: int,
-    method: AnalysisMethod,
-    mu_method: MuMethod,
-    rho_solver: RhoSolver,
-    mu_cache: dict[str, list[float]],
-    memo: InterferenceMemo | None = None,
-    warm_starts: dict[str, float] | None = None,
-) -> TasksetAnalysis:
-    """One method on an already-validated task-set (shared μ cache)."""
-    if method is AnalysisMethod.FP_IDEAL:
-        tasks = response_time_bounds(taskset, m, memo=memo)
-        return TasksetAnalysis(method.value, m, tuple(tasks))
-
-    if method is AnalysisMethod.LP_MAX:
-        def provider(task):
-            return lp_max_deltas(taskset.lp(task.name), m)
-    else:
-        def provider(task):
-            return lp_ilp_deltas(
-                taskset.lp(task.name),
-                m,
-                mu_method=mu_method,
-                rho_solver=rho_solver,
-                mu_cache=mu_cache,
-            )
-
-    tasks = response_time_bounds(
-        taskset,
-        m,
-        delta_provider=provider,
-        limited_preemption=True,
-        memo=memo,
-        warm_starts=warm_starts,
-    )
-    return TasksetAnalysis(method.value, m, tuple(tasks))
 
 
 def analyze_taskset(
@@ -123,7 +92,9 @@ def analyze_taskset(
     """
     method = _coerce_method(method)
     validate_taskset_for_analysis(taskset, m)
-    return _analyze_validated(taskset, m, method, mu_method, rho_solver, {})
+    return _compute_multi_batch(
+        [taskset], m, (method,), mu_method, rho_solver, False
+    )[0].analyses[0]
 
 
 def _pruned_unschedulable(method: AnalysisMethod, taskset: TaskSet, m: int) -> TasksetAnalysis:
@@ -207,75 +178,9 @@ def analyze_taskset_multi(
         One :class:`TasksetAnalysis` per requested method, in request
         order.
     """
-    if methods is None:
-        methods = tuple(AnalysisMethod)
-    wanted: list[AnalysisMethod] = []
-    for method in methods:
-        coerced = _coerce_method(method)
-        if coerced not in wanted:
-            wanted.append(coerced)
-    if not wanted:
-        raise AnalysisError("need at least one analysis method")
-    validate_taskset_for_analysis(taskset, m)
-
-    key: str | None = None
-    if cache is not None:
-        key = cache.key_for(
-            taskset,
-            m,
-            tuple(mm.value for mm in wanted),
-            mu_method,
-            rho_solver,
-            dominance_pruning,
-        )
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-
-    mu_cache: dict[str, list[float]] = {}
-    computed: dict[AnalysisMethod, TasksetAnalysis] = {}
-    memo = InterferenceMemo(taskset, m)
-
-    def run(
-        method: AnalysisMethod, warm_starts: dict[str, float] | None = None
-    ) -> TasksetAnalysis:
-        result = _analyze_validated(
-            taskset, m, method, mu_method, rho_solver, mu_cache, memo, warm_starts
-        )
-        computed[method] = result
-        return result
-
-    if not dominance_pruning:
-        for method in wanted:
-            run(method)
-    else:
-        # FP-ideal is the cheapest and the most permissive test: run it
-        # first (even when not requested) — its failure decides all.
-        lp_wanted = [mm for mm in wanted if mm is not AnalysisMethod.FP_IDEAL]
-        fp = run(AnalysisMethod.FP_IDEAL)
-        if lp_wanted and not fp.schedulable:
-            for method in lp_wanted:
-                computed[method] = _pruned_unschedulable(method, taskset, m)
-        elif lp_wanted:
-            # The converged FP-ideal responses are sound lower bounds on
-            # the LP fixpoints (Eq. 4 ⊇ Eq. 1): warm-start both.
-            warm = {t.name: t.response for t in fp.tasks if t.schedulable}
-            # LP-max is cheap (no μ / scenario machinery); when LP-ILP
-            # is wanted it doubles as a pre-filter for the expensive
-            # Eq. 8 path, so compute it either way.
-            lp_max = run(AnalysisMethod.LP_MAX, warm)
-            if AnalysisMethod.LP_ILP in lp_wanted:
-                if lp_max.schedulable:
-                    computed[AnalysisMethod.LP_ILP] = TasksetAnalysis(
-                        AnalysisMethod.LP_ILP.value, m, lp_max.tasks
-                    )
-                else:
-                    run(AnalysisMethod.LP_ILP, warm)
-
-    result = MultiAnalysis(m=m, analyses=tuple(computed[mm] for mm in wanted))
-    if cache is not None and key is not None:
-        cache.put(key, result)
-    return result
+    return analyze_taskset_multi_batch(
+        [taskset], m, methods, mu_method, rho_solver, dominance_pruning, cache
+    )[0]
 
 
 def _compute_multi_batch(
@@ -286,14 +191,16 @@ def _compute_multi_batch(
     rho_solver: RhoSolver,
     dominance_pruning: bool,
 ) -> list[MultiAnalysis]:
-    """The multi-method pruning flow of :func:`analyze_taskset_multi`,
-    computed for a whole batch of (already validated) task-sets.
+    """The multi-method pruning flow, computed for a whole batch of
+    (already validated) task-sets.
 
     Each phase (FP-ideal, LP-max, LP-ILP) runs as one
     :func:`~repro.core.rta.response_time_bounds_batch` call over the
-    lanes the serial flow would run it on, so every lane sees the exact
-    per-item sequence of methods, warm starts, provider invocations and
-    memo state — results are bit-identical to the per-item analyzer.
+    lanes that still need it, so every lane sees the same sequence of
+    methods, warm starts, provider invocations and memo state as it
+    would analysed alone — results do not depend on the batch.  With
+    ``dominance_pruning=False`` each wanted method runs in full on a
+    fresh μ cache and memo per lane, which is :func:`analyze_taskset`.
     """
     n = len(tasksets)
     if n == 0:
@@ -401,7 +308,8 @@ def analyze_taskset_multi_batch(
     lock-step so each step's interference terms are evaluated by one
     cross-lane numpy kernel (:class:`~repro.core.interference.`
     ``InterferenceLanes``) instead of per-task-set numpy calls — the
-    sweep engine's chunk hot path.
+    sweep engine's chunk hot path.  A batch of one (and every phase
+    that one lane reaches alone) runs the scalar fixpoint.
 
     The verdict-cache protocol mirrors the serial loop's counters:
     first occurrences of each key are looked up (and computed/stored on

@@ -16,10 +16,6 @@ shard-artifact save), and :func:`collect_rows` is the generic merge
 half (shard-set validation, per-item row decode, corpus-order
 reassembly).  Each kind supplies only its evaluation function, row
 codec and reduction.
-
-``splitsweep`` itself still carries its original private runner — its
-artifacts are a stable on-disk format and its code path is pinned by
-golden tests — but new row-based kinds should not copy it again.
 """
 
 from __future__ import annotations

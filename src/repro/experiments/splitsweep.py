@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,16 +46,8 @@ import numpy as np
 
 from repro.exceptions import AnalysisError, ShardError
 from repro.core.analyzer import AnalysisMethod, analyze_taskset
-from repro.engine.executors import make_executor
-from repro.engine.shard import (
-    KIND_SPLITSWEEP,
-    ShardArtifact,
-    ShardSpec,
-    load_shard,
-    save_shard,
-    validate_shard_set,
-)
-from repro.engine.streaming import StreamWriter
+from repro.engine.rowsweep import collect_rows, run_row_sweep
+from repro.engine.shard import KIND_SPLITSWEEP, ShardArtifact, ShardSpec
 from repro.generator.profiles import GROUP1, TasksetProfile
 from repro.generator.taskset_gen import generate_taskset
 from repro.model.taskset import TaskSet
@@ -295,20 +286,8 @@ def _run_split_sweep(
     if not thresholds:
         raise AnalysisError("need at least one threshold")
     thresholds = tuple(thresholds)
-    if shard is None and shard_out is not None:
-        shard = ShardSpec(0, 1)
     rng = np.random.default_rng(seed)
     corpus = [generate_taskset(rng, utilization, profile) for _ in range(n_tasksets)]
-    indexes = (
-        list(shard.items(n_tasksets)) if shard is not None else list(range(n_tasksets))
-    )
-    payloads = [
-        (index, corpus[index], m, thresholds, method, overhead) for index in indexes
-    ]
-
-    fingerprint = split_sweep_fingerprint(
-        m, utilization, thresholds, n_tasksets, seed, profile, method, overhead
-    )
     meta = {
         "m": m,
         "utilization": utilization,
@@ -318,55 +297,23 @@ def _run_split_sweep(
         "overhead": overhead,
         "method": method.value,
     }
-
-    start_time = time.perf_counter()
-    writer = StreamWriter(stream) if stream is not None else None
-    rows_by_index: dict[int, list[tuple[int, int, float, bool]]] = {}
-    try:
-        if writer is not None:
-            writer.write_header(
-                kind=KIND_SPLITSWEEP,
-                fingerprint=fingerprint,
-                total_items=n_tasksets,
-                meta=meta,
-                shard=(
-                    {"index": shard.index, "count": shard.count}
-                    if shard is not None
-                    else None
-                ),
-            )
-        with make_executor(jobs, kind=executor_kind) as executor:
-            for index, rows in executor.map_unordered(
-                _evaluate_split_item, payloads
-            ):
-                rows_by_index[index] = rows
-                if writer is not None:
-                    writer.write_item(index, rows=rows)
-        if writer is not None:
-            writer.write_summary(
-                len(rows_by_index), time.perf_counter() - start_time
-            )
-    finally:
-        if writer is not None:
-            writer.close()
-
-    rows_in_order = [rows_by_index[index] for index in indexes]
-    if shard_out is not None:
-        save_shard(
-            shard_out,
-            ShardArtifact(
-                kind=KIND_SPLITSWEEP,
-                fingerprint=fingerprint,
-                shard=shard,
-                total_items=n_tasksets,
-                meta=meta,
-                records=[
-                    {"item": index, "rows": [list(row) for row in rows_by_index[index]]}
-                    for index in indexes
-                ],
-                elapsed_seconds=time.perf_counter() - start_time,
-            ),
-        )
+    indexes, rows_in_order = run_row_sweep(
+        kind=KIND_SPLITSWEEP,
+        fingerprint=split_sweep_fingerprint(
+            m, utilization, thresholds, n_tasksets, seed, profile, method, overhead
+        ),
+        total_items=n_tasksets,
+        meta=meta,
+        evaluate=_evaluate_split_item,
+        payload_for=lambda index: (
+            index, corpus[index], m, thresholds, method, overhead
+        ),
+        jobs=jobs,
+        executor_kind=executor_kind,
+        shard=shard,
+        shard_out=shard_out,
+        stream=stream,
+    )
     return _reduce_split_rows(thresholds, rows_in_order, len(indexes))
 
 
@@ -381,17 +328,13 @@ def merge_split_shards(
     order and re-runs the exact serial reduction — the merged points
     are bit-identical to a single-process run, float means included.
     """
-    artifacts = [
-        shard if isinstance(shard, ShardArtifact) else load_shard(shard)
-        for shard in shards
-    ]
-    validate_shard_set(artifacts)
-    first = artifacts[0]
-    if first.kind != KIND_SPLITSWEEP:
-        raise ShardError(
-            f"merge_split_shards() merges {KIND_SPLITSWEEP!r} artifacts; "
-            f"got {first.kind!r} (use repro.engine.merge_shards)"
-        )
+    from repro.engine.registry import row_codec_for
+
+    first, rows_in_order = collect_rows(
+        shards,
+        kind=KIND_SPLITSWEEP,
+        row_codec=row_codec_for(KIND_SPLITSWEEP),
+    )
     raw_thresholds = first.meta.get("thresholds")
     if not isinstance(raw_thresholds, (list, tuple)) or not raw_thresholds:
         raise ShardError(
@@ -399,19 +342,10 @@ def merge_split_shards(
             "artifact is corrupt"
         )
     thresholds = tuple(float(t) for t in raw_thresholds)
-    rows_by_index: dict[int, list[tuple[int, int, float, bool]]] = {}
-    for artifact in artifacts:
-        for entry in artifact.records:
-            rows = [
-                (int(q), int(tasks), float(u), bool(schedulable))
-                for q, tasks, u, schedulable in entry["rows"]
-            ]
-            if len(rows) != len(thresholds):
-                raise ShardError(
-                    f"splitsweep shard {artifact.shard.label} item "
-                    f"{entry['item']} has {len(rows)} rows for "
-                    f"{len(thresholds)} thresholds; artifact is corrupt"
-                )
-            rows_by_index[int(entry["item"])] = rows
-    rows_in_order = [rows_by_index[index] for index in sorted(rows_by_index)]
+    for index, rows in enumerate(rows_in_order):
+        if len(rows) != len(thresholds):
+            raise ShardError(
+                f"splitsweep item {index} has {len(rows)} rows for "
+                f"{len(thresholds)} thresholds; artifact is corrupt"
+            )
     return _reduce_split_rows(thresholds, rows_in_order, first.total_items)

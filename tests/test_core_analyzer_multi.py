@@ -8,7 +8,9 @@ from repro.core.analyzer import (
     analyze_taskset,
     analyze_taskset_multi,
 )
+from repro.core.blocking import lp_ilp_deltas, lp_max_deltas
 from repro.core.results import MultiAnalysis, TasksetAnalysis
+from repro.core.rta import response_time_bounds
 from repro.exceptions import AnalysisError
 from repro.generator.profiles import GROUP1, GROUP2
 from repro.generator.taskset_gen import generate_taskset
@@ -23,6 +25,49 @@ def _corpus(profile, utilizations, seeds=range(6)):
         for u in utilizations:
             tasksets.append(generate_taskset(rng, u, profile))
     return tasksets
+
+
+def _reference(taskset, m, method, mu_method="search", rho_solver="assignment"):
+    """One method straight through the scalar RTA kernel: no pruning
+    flow, no batch driver, a fresh μ cache — the per-method analysis the
+    analyzer's shared flow must reproduce."""
+    if method is AnalysisMethod.FP_IDEAL:
+        return TasksetAnalysis(method.value, m, tuple(response_time_bounds(taskset, m)))
+    mu_cache = {}
+    if method is AnalysisMethod.LP_MAX:
+        def provider(task):
+            return lp_max_deltas(taskset.lp(task.name), m)
+    else:
+        def provider(task):
+            return lp_ilp_deltas(
+                taskset.lp(task.name), m, mu_method=mu_method,
+                rho_solver=rho_solver, mu_cache=mu_cache,
+            )
+    tasks = response_time_bounds(taskset, m, provider, limited_preemption=True)
+    return TasksetAnalysis(method.value, m, tuple(tasks))
+
+
+class TestMatchesReference:
+    @pytest.mark.parametrize("profile", [GROUP1, GROUP2], ids=["group1", "group2"])
+    def test_every_method_on_generated_corpora(self, profile):
+        for taskset in _corpus(profile, (1.0, 2.0, 3.0, 3.5)):
+            for method in ALL:
+                assert analyze_taskset(taskset, 4, method) == _reference(
+                    taskset, 4, method
+                )
+
+    # One schedulable pair and one three-task set that fails at the
+    # lowest priority, both with non-zero LP-ILP blocking terms.
+    @pytest.mark.parametrize("seed,utilization", [(1, 1.0), (2, 1.5)])
+    def test_ilp_solvers(self, seed, utilization):
+        taskset = generate_taskset(np.random.default_rng(seed), utilization, GROUP1)
+        for method in ALL:
+            got = analyze_taskset(
+                taskset, 2, method, mu_method="ilp", rho_solver="ilp"
+            )
+            assert got == _reference(
+                taskset, 2, method, mu_method="ilp", rho_solver="ilp"
+            )
 
 
 class TestMultiMatchesSeparateCalls:
@@ -41,8 +86,9 @@ class TestMultiMatchesSeparateCalls:
         """pruning off: per-task results bit-identical to separate calls."""
         for taskset in _corpus(GROUP1, (1.5, 3.0), seeds=range(3)):
             multi = analyze_taskset_multi(taskset, 4, ALL, dominance_pruning=False)
-            for analysis in multi:
-                assert analysis == analyze_taskset(taskset, 4, analysis.method)
+            for method, analysis in zip(ALL, multi):
+                assert analysis == analyze_taskset(taskset, 4, method)
+                assert analysis == _reference(taskset, 4, method)
 
     def test_pruned_unschedulable_reports_unanalyzed_tasks(self):
         rng = np.random.default_rng(0)

@@ -17,6 +17,8 @@ from repro.core.analyzer import (
     analyze_taskset_multi,
     analyze_taskset_multi_batch,
 )
+import repro.core.rta as rta
+from repro.core.blocking import lp_max_deltas
 from repro.core.interference import InterferenceLanes, InterferenceMemo
 from repro.core.rta import response_time_bounds, response_time_bounds_batch
 from repro.engine.vcache import VerdictCache
@@ -97,18 +99,62 @@ class TestInterferenceLanes:
             )
 
 
+RTA_CASES = pytest.mark.parametrize("m,profile,utilization", [
+    (2, GROUP1, 1.2),
+    (4, GROUP1, 2.5),
+    (8, GROUP2, 5.0),
+    (8, GROUP2, 6.5),
+])
+
+
 class TestResponseTimeBoundsBatch:
-    @pytest.mark.parametrize("m,profile,utilization", [
-        (2, GROUP1, 1.2),
-        (4, GROUP1, 2.5),
-        (8, GROUP2, 5.0),
-        (8, GROUP2, 6.5),
-    ])
-    def test_fp_ideal_matches_serial(self, m, profile, utilization):
+    @RTA_CASES
+    def test_fp_ideal_matches_serial(self, monkeypatch, m, profile, utilization):
+        built = []
+
+        class CountingLanes(InterferenceLanes):
+            def __init__(self, memos):
+                built.append(len(memos))
+                super().__init__(memos)
+
+        monkeypatch.setattr(rta, "InterferenceLanes", CountingLanes)
         tasksets = _corpus(profile, utilization, 8)
         batch = response_time_bounds_batch(tasksets, m)
         serial = [response_time_bounds(ts, m) for ts in tasksets]
         assert batch == serial
+        # Two or more lanes run lock-step over one shared evaluator.
+        assert built == [8]
+        response_time_bounds_batch(tasksets[:2], m)
+        assert built == [8, 2]
+
+    @RTA_CASES
+    def test_single_lane_runs_scalar_kernel(
+        self, monkeypatch, m, profile, utilization
+    ):
+        def refuse(memos):
+            raise AssertionError("a batch of one built InterferenceLanes")
+
+        monkeypatch.setattr(rta, "InterferenceLanes", refuse)
+        for taskset in _corpus(profile, utilization, 4):
+            batch_memo = InterferenceMemo(taskset, m)
+            scalar_memo = InterferenceMemo(taskset, m)
+            [fp] = response_time_bounds_batch([taskset], m, memos=[batch_memo])
+            assert fp == response_time_bounds(taskset, m, memo=scalar_memo)
+
+            # LP-max as the analyzer runs it: warm-started from FP-ideal,
+            # on the memo the FP-ideal pass already filled.
+            warm = {t.name: t.response for t in fp if t.schedulable}
+
+            def provider(task, taskset=taskset):
+                return lp_max_deltas(taskset.lp(task.name), m)
+
+            [lp] = response_time_bounds_batch(
+                [taskset], m, [provider], True,
+                warm_starts_list=[warm], memos=[batch_memo],
+            )
+            assert lp == response_time_bounds(
+                taskset, m, provider, True, warm_starts=warm, memo=scalar_memo
+            )
 
     def test_empty_batch(self):
         assert response_time_bounds_batch([], 4) == []

@@ -2,8 +2,15 @@
 
 import pytest
 
-from repro.exceptions import AnalysisError
-from repro.experiments.splitsweep import run_split_sweep, split_taskset
+from repro.engine.registry import merge_artifacts
+from repro.engine.shard import ShardSpec, load_shard
+from repro.exceptions import AnalysisError, ShardError
+from repro.experiments.splitsweep import (
+    _run_split_sweep,
+    merge_split_shards,
+    run_split_sweep,
+    split_taskset,
+)
 from repro.model import DAGTask, DagBuilder, TaskSet
 
 
@@ -72,3 +79,26 @@ class TestSweep:
     def test_empty_thresholds_rejected(self):
         with pytest.raises(AnalysisError):
             run_split_sweep(m=2, utilization=1.0, thresholds=[], n_tasksets=3)
+
+
+class TestMerge:
+    @pytest.mark.parametrize("corrupt", [
+        lambda record: record["rows"][0].pop(),         # a 3-field row
+        lambda record: record.update(rows=None),        # rows: null
+    ], ids=["short-row", "null-rows"])
+    def test_corrupt_records_raise_shard_error(self, corrupt, tmp_path):
+        # In-memory artifacts skip load_shard's row checks, so the merge
+        # itself must turn a malformed record into a typed error.
+        path = tmp_path / "split.json"
+        _run_split_sweep(
+            m=2, utilization=1.0, thresholds=[100.0, 20.0], n_tasksets=3,
+            seed=3, shard=ShardSpec(0, 1), shard_out=path,
+        )
+        artifact = load_shard(path)
+        record = artifact.records[0]
+        record["rows"] = [list(row) for row in record["rows"]]
+        corrupt(record)
+        with pytest.raises(ShardError, match="corrupt"):
+            merge_split_shards([artifact])
+        with pytest.raises(ShardError, match="corrupt"):
+            merge_artifacts("splitsweep", [artifact])
